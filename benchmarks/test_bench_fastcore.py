@@ -4,8 +4,8 @@ Run with::
 
     pytest benchmarks/test_bench_fastcore.py --benchmark-only -s
 
-Two acceptance gates, both on an E2-style grid (gshare capacity sweep
-over the technique-sensitive workload subset, small scale):
+Two acceptance gates on an E2-style grid (gshare capacity sweep over
+the technique-sensitive workload subset, small scale):
 
 * ``bench_fastcore_speedup_gate`` — the flat-kernel core must push
   ``sweep.points_per_second`` at least 5x the object core's, with
@@ -14,14 +14,21 @@ over the technique-sensitive workload subset, small scale):
   least as fast as the scalar fast loop on gshare (the table-indexed
   case it exists for).
 
-Both report their measured numbers through :func:`emit_gate`, so the
+and one on an E11-style family grid (tournament, perceptron and TAGE at
+E11's sizes, plain and SFP+PGU, same subset and scale):
+
+* ``bench_family_speedup_gate`` — the default core must run the grid
+  at least 3x the object core's points per second, identically.
+
+All report their measured numbers through :func:`emit_gate`, so the
 run-history store tracks the trend behind the thresholds.
 """
 
 from benchmarks.conftest import BENCH_SUBSET, emit_gate, run_once
 from repro import telemetry
-from repro.predictors import make_predictor
-from repro.sim import SimOptions, sweep
+from repro.experiments.e11_families import FAMILIES
+from repro.predictors import PGUConfig, SFPConfig, make_predictor
+from repro.sim import SimOptions, resolve_core, sweep
 from repro.workloads import get_workload
 
 #: Same reasoning as the sweep benchmark: per-point work must dwarf
@@ -34,6 +41,13 @@ SIZES = (256, 1024, 4096, 16384)
 #: Minimum accepted points-per-second ratio, fast core vs object core.
 #: Measured ~8x warm; 5x leaves room for noisy CI machines.
 FAST_SPEEDUP_FLOOR = 5.0
+
+#: The families whose kernels sit on serial loops (E11's slow half).
+FAMILY_GRID = ("tournament", "perceptron", "tage")
+
+#: Minimum accepted points-per-second ratio on the family grid, default
+#: core vs object core.
+FAMILY_SPEEDUP_FLOOR = 3.0
 
 
 def _grid():
@@ -171,4 +185,53 @@ def bench_numpy_vs_fast_gate(benchmark):
     assert ratio >= 1.0, (
         f"numpy backend was slower than the scalar fast loop "
         f"({ratio:.2f}x)"
+    )
+
+
+def bench_family_speedup_gate(benchmark):
+    """Tournament/perceptron/TAGE kernels >= 3x the object core."""
+    traces = {
+        name: get_workload(name).trace(scale=SCALE)
+        for name in BENCH_SUBSET
+    }
+    factories = {
+        family: (lambda family=family: FAMILIES[family](1024))
+        for family in FAMILY_GRID
+    }
+    grid = [SimOptions(), SimOptions(sfp=SFPConfig(), pgu=PGUConfig())]
+    core = resolve_core()
+    measured = {}
+
+    def compare():
+        obj_pps, obj_results, _ = _best_throughput(
+            traces, factories, grid, "object", repeats=1
+        )
+        new_pps, new_results, _ = _best_throughput(
+            traces, factories, grid, core, repeats=2
+        )
+        measured.update(
+            object_pps=obj_pps,
+            core_pps=new_pps,
+            identical=_fingerprint(obj_results)
+            == _fingerprint(new_results),
+        )
+
+    run_once(benchmark, compare)
+    speedup = measured["core_pps"] / measured["object_pps"]
+    emit_gate(
+        "fastcore_family_speedup",
+        object_points_per_second=measured["object_pps"],
+        core_points_per_second=measured["core_pps"],
+        speedup=speedup,
+        identical=float(measured["identical"]),
+    )
+    print(
+        f"\nfamily grid: object {measured['object_pps']:.2f} pts/s, "
+        f"{core} {measured['core_pps']:.2f} pts/s, "
+        f"speedup {speedup:.1f}x"
+    )
+    assert measured["identical"], f"{core} core diverged from object core"
+    assert speedup >= FAMILY_SPEEDUP_FLOOR, (
+        f"family-grid speedup {speedup:.2f}x is below the "
+        f"{FAMILY_SPEEDUP_FLOOR:.0f}x floor"
     )

@@ -855,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_SWEEP_WORKERS or serial)")
         p.add_argument("--core", default=None, choices=CORES,
                        help="simulation core (default $REPRO_SIM_CORE or "
-                            "object); fast cores are bit-identical")
+                            "numpy); every core is bit-identical to the "
+                            "object reference")
         p.add_argument("--format", default="table",
                        choices=("table", "csv", "json"))
         p.add_argument("--output", help="also write the export to this dir")
@@ -880,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "$REPRO_SWEEP_WORKERS or serial)")
     p.add_argument("--core", default=None, choices=CORES,
                    help="simulation core (default $REPRO_SIM_CORE or "
-                        "object); fast cores are bit-identical")
+                        "numpy); every core is bit-identical to the "
+                        "object reference")
     p.add_argument("--format", default="table",
                    choices=("table", "csv", "json"))
     p.add_argument("--output", help="also write each export to this dir")
@@ -907,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgu", action="store_true")
     p.add_argument("--core", default=None, choices=CORES,
                    help="simulation core (default $REPRO_SIM_CORE or "
-                        "object); fast cores are bit-identical")
+                        "numpy); every core is bit-identical to the "
+                        "object reference")
     p.add_argument("--baseline", action="store_true",
                    help="use the non-predicated compile")
     p.add_argument("--metrics", metavar="PATH",
@@ -1112,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on a thread (default %(default)s)")
     p.add_argument("--core", default=None, choices=CORES,
                    help="simulation core for every job (default "
-                        "$REPRO_SIM_CORE or object); resolved once and "
+                        "$REPRO_SIM_CORE or numpy); resolved once and "
                         "threaded into pool workers")
     p.add_argument("--store", metavar="DIR",
                    help="run-history store doubling as the result cache "

@@ -107,7 +107,7 @@ def run_sweep(
     (a :class:`~repro.profiler.ProfileSpec`) additionally attaches a
     misprediction-attribution aggregator to every point's result;
     ``core`` selects the simulation core (default: ambient context /
-    ``$REPRO_SIM_CORE`` / object).
+    ``$REPRO_SIM_CORE`` / numpy).
     """
     return sweep(
         traces,

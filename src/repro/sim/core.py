@@ -1,9 +1,13 @@
-"""Simulation-core selection: ``object`` (reference) vs ``fast``/``numpy``.
+"""Simulation-core selection: ``numpy`` (default), ``fast`` or ``object``.
 
 The driver's object-model loop in :mod:`repro.sim.driver` is the
-reference implementation; :mod:`repro.sim.fastcore` replays pre-decoded
-flat arrays through allocation-free kernels and must stay bit-identical
-(the differential suite enforces this).  Because metrics are identical,
+reference implementation and the differential oracle;
+:mod:`repro.sim.fastcore` replays pre-decoded flat arrays through
+allocation-free kernels and must stay bit-identical (the differential
+suite enforces this).  ``numpy`` — the fast kernels with the batched
+backend wherever a kernel has one — is the default; points no kernel
+models (static and perfect predictors, profiler collectors) run on the
+object loop whatever the knob says.  Because metrics are identical,
 the core choice is *not* part of a run's identity: it lives in the
 RunRecord envelope, never the payload, and the same config produces the
 same ``run_id`` on every core.
@@ -14,7 +18,7 @@ Resolution order (mirrors ``REPRO_SWEEP_WORKERS``):
 2. the active :func:`use_core` context (how the CLI threads ``--core``
    through experiment modules without touching their signatures),
 3. the ``REPRO_SIM_CORE`` environment variable,
-4. ``"object"``.
+4. ``"numpy"``.
 """
 
 import os
@@ -22,6 +26,9 @@ from contextlib import contextmanager
 
 #: Valid values for the ``core`` knob.
 CORES = ("object", "fast", "numpy")
+
+#: The core used when nothing selects one.
+DEFAULT_CORE = "numpy"
 
 #: Environment variable overriding the default core.
 CORE_ENV = "REPRO_SIM_CORE"
@@ -39,7 +46,7 @@ def _validate(core: str, source: str) -> str:
 
 
 def resolve_core(core=None) -> str:
-    """Resolve the core knob: argument > context > env > ``object``."""
+    """Resolve the core knob: argument > context > env > ``numpy``."""
     if core is not None:
         return _validate(core, "argument")
     if _ACTIVE:
@@ -47,7 +54,7 @@ def resolve_core(core=None) -> str:
     env = os.environ.get(CORE_ENV, "").strip().lower()
     if env:
         return _validate(env, CORE_ENV)
-    return "object"
+    return DEFAULT_CORE
 
 
 @contextmanager

@@ -187,12 +187,13 @@ def simulate(
 
     ``core`` selects the execution engine: ``"object"`` (this loop, the
     reference), ``"fast"`` (flat kernels over a pre-decoded stream) or
-    ``"numpy"`` (batched table replay); ``None`` resolves through
-    :func:`repro.sim.core.resolve_core` (context, then
-    ``$REPRO_SIM_CORE``, then ``"object"``).  Results are bit-identical
-    across cores; points the fast cores cannot model exactly —
-    unkernelized predictors, BTB modelling, profiler collectors — run
-    here regardless of the knob.
+    ``"numpy"`` (the fast kernels with batched table replay); ``None``
+    resolves through :func:`repro.sim.core.resolve_core` (context, then
+    ``$REPRO_SIM_CORE``, then ``"numpy"``).  Results are bit-identical
+    across cores, and every core leaves ``predictor`` in the same
+    trained state.  Points the fast cores cannot model exactly —
+    predictors without a kernel (static, perfect) and profiler
+    collectors — run here regardless of the knob.
 
     With tracing on (:mod:`repro.telemetry.tracing`) the run is wrapped
     in a ``sim.driver`` trace span; this is trace-only — the ``sim.*``

@@ -7,10 +7,11 @@ object-model loop in :mod:`repro.sim.driver` (the differential suite in
 the whole workload suite).  See ``docs/fast-core.md`` for the kernel
 ABI, the pre-decode layout and how to add a kernel.
 
-Entry point: :func:`run_fast`, reached through
-``simulate(..., core="fast"|"numpy")``.  The object core remains the
-reference and the only path for predictors without a kernel, for BTB
-modelling and for profiler collectors — ``simulate`` falls back
+Entry point: :func:`run_fast`, reached through ``simulate`` on the
+``fast`` and ``numpy`` cores (``numpy`` is the default).  Direction
+replay is followed by a BTB pass when the options model one.  The
+object core remains the reference and the only path for predictors
+without a kernel and for profiler collectors — ``simulate`` falls back
 automatically (see :func:`supported`).
 """
 
@@ -20,8 +21,15 @@ import numpy as np
 
 from repro import telemetry
 from repro.sim.driver import BranchFlags, SimOptions, SimResult
-from repro.sim.fastcore.batch import batch_replay, batch_supported
-from repro.sim.fastcore.decode import BranchTrace, ReplayPlan, build_plan
+from repro.sim.fastcore.batch import batch_supported
+from repro.sim.fastcore.btb import btb_misfetches
+from repro.sim.fastcore.decode import (
+    BranchTrace,
+    Events,
+    ReplayPlan,
+    build_plan,
+    plan_key,
+)
 from repro.sim.fastcore.differential import (
     DivergenceReport,
     differential_check,
@@ -32,23 +40,25 @@ from repro.sim.fastcore.kernels import (
     kernel_from_predictor,
     kernelizable,
 )
-from repro.sim.fastcore.replay import fast_replay
+from repro.sim.fastcore.replay import replay_plan
 from repro.sim.stats import ClassStats
 from repro.trace.container import BranchClass
 
 __all__ = [
     "BranchTrace",
     "DivergenceReport",
+    "Events",
     "KERNEL_BUILDERS",
     "KernelError",
     "ReplayPlan",
-    "batch_replay",
     "batch_supported",
+    "btb_misfetches",
     "build_plan",
     "differential_check",
-    "fast_replay",
     "kernel_from_predictor",
     "kernelizable",
+    "plan_key",
+    "replay_plan",
     "run_fast",
     "supported",
 ]
@@ -57,15 +67,11 @@ __all__ = [
 def supported(predictor, options: SimOptions, collector=None) -> bool:
     """Can the fast cores run this point exactly?
 
-    BTB modelling and profiler collectors are object-core-only; so is
-    any predictor without a registered kernel (static, perfect,
-    tournament, perceptron, TAGE).
+    Profiler collectors are object-core-only; so is any predictor
+    without a registered kernel (static, perfect, and subclasses of the
+    kernelized classes).  BTB modelling runs on every core.
     """
-    return (
-        collector is None
-        and options.btb is None
-        and kernelizable(predictor)
-    )
+    return collector is None and kernelizable(predictor)
 
 
 _PLAN_CACHE_LIMIT = 8
@@ -74,14 +80,15 @@ _PLAN_CACHE_LIMIT = 8
 def _plan_for(trace, options: SimOptions) -> ReplayPlan:
     """Build (or reuse) the replay plan for ``(trace, options)``.
 
-    Pre-decode depends only on the trace and the simulation options,
-    never on the predictor, so a sweep grid replaying one workload
-    under many predictors decodes it once.  The cache lives on the
-    trace object and dies with it; a small cap guards against
-    many-option grids pinning plans for the trace's whole lifetime.
+    Pre-decode depends only on the trace and the options
+    :func:`plan_key` names, never on the predictor, the BTB or flag
+    recording, so a sweep grid replaying one workload under many
+    predictors decodes it once.  The cache lives on the trace object
+    and dies with it; a small cap guards against many-option grids
+    pinning plans for the trace's whole lifetime.
     """
     cache = trace.__dict__.setdefault("_fastcore_plans", {})
-    key = repr(options)
+    key = plan_key(options)
     plan = cache.get(key)
     if plan is None:
         plan = build_plan(trace, options)
@@ -101,11 +108,14 @@ def run_fast(
 ) -> SimResult:
     """Simulate on a flat kernel; bit-identical to the object core.
 
-    ``kernel`` overrides the fresh kernel built from ``predictor``
-    (the differential harness uses this to inject corrupted state).
-    ``core="numpy"`` uses the batched backend when the kernel supports
-    it, silently dropping to the scalar fast loop otherwise — unless
-    ``require`` is set, in which case the mismatch raises.
+    The kernel starts from ``predictor``'s current state and its trained
+    state is stored back afterwards, exactly as the object core leaves
+    a reused predictor.  ``kernel`` overrides the kernel built from
+    ``predictor`` (the differential harness uses this to inject
+    corrupted state).  ``core="numpy"`` uses the batched backend when
+    the kernel supports it, silently dropping to the scalar fast loop
+    otherwise — unless ``require`` is set, in which case the mismatch
+    raises.
     """
     if core not in ("fast", "numpy"):
         raise ValueError(f"run_fast cannot execute core {core!r}")
@@ -127,15 +137,23 @@ def run_fast(
                     f"kernel {kernel.name} has no numpy backend"
                 )
             used = "fast"
-        if used == "numpy":
-            mis = batch_replay(kernel, plan)
-        else:
-            mis = fast_replay(kernel, plan)
+        mis = replay_plan(kernel, plan, batch=used == "numpy")
+        kernel.store(predictor)
+        squash = plan.squash
+        correct = np.ones(plan.n, dtype=bool)
+        correct[mis] = False
+        misfetch = None
+        if options.btb is not None:
+            branches = plan.branches
+            misfetch = btb_misfetches(
+                options.btb, branches.pc, branches.taken,
+                branches.target, correct,
+            )
     wall = time.perf_counter() - start
 
     n = plan.n
     mispredictions = int(mis.shape[0])
-    squash = plan.squash
+    misfetches = int(misfetch.sum()) if misfetch is not None else 0
     squashed = int(squash.sum()) if squash is not None else 0
 
     branch_counts = np.bincount(plan.cls, minlength=3)
@@ -175,7 +193,7 @@ def run_fast(
         registry.counter("sim.updates").inc(updates)
         registry.counter("sim.mispredictions").inc(mispredictions)
         registry.counter("sim.squashed").inc(squashed)
-        registry.counter("sim.misfetches").inc(0)
+        registry.counter("sim.misfetches").inc(misfetches)
         for branch_class, stats in per_class.items():
             prefix = f"sim.class.{branch_class.name.lower()}"
             registry.counter(f"{prefix}.branches").inc(stats.branches)
@@ -191,8 +209,6 @@ def run_fast(
 
     flags = None
     if options.record_flags:
-        correct = np.ones(n, dtype=bool)
-        correct[mis] = False
         flags = BranchFlags(
             correct=correct,
             squashed=(
@@ -200,7 +216,10 @@ def run_fast(
                 if squash is not None
                 else np.zeros(n, dtype=bool)
             ),
-            misfetch=np.zeros(n, dtype=bool),
+            misfetch=(
+                misfetch if misfetch is not None
+                else np.zeros(n, dtype=bool)
+            ),
         )
 
     return SimResult(
@@ -212,7 +231,7 @@ def run_fast(
         mispredictions=mispredictions,
         squashed=squashed,
         per_class=per_class,
-        misfetches=0,
+        misfetches=misfetches,
         flags=flags,
         attribution=None,
     )

@@ -20,8 +20,10 @@ counter walk with a segmented scan instead of a Python loop:
    composition (``const . g = const``), so saturated prefixes drop out
    of the scan's active set — strongly biased entries finish in a pass
    or two.
-4. Predictions, mispredict positions and the final table state all fall
-   out vectorised.
+4. Every event's predicted direction and the final table state fall
+   out vectorised (:func:`scan_counters`).  Table kernels replay
+   through it directly; the tournament kernel also walks its chooser
+   with it.
 
 Bit-identical to the scalar loops by construction; the differential
 suite checks it against the object core anyway.
@@ -96,32 +98,25 @@ def batch_supported(kernel) -> bool:
     return bool(getattr(kernel, "batchable", False))
 
 
-def batch_replay(kernel, plan) -> np.ndarray:
-    """Vectorised replay; mispredicted branch indices, ascending.
+def scan_counters(table: list, idx: np.ndarray, dirs: np.ndarray,
+                  trans=None) -> np.ndarray:
+    """Vectorised walk of 2-bit counters; the bit each event observed.
 
-    Mutates ``kernel.table`` to the exact post-replay state the scalar
-    loops would leave (every entry's full composition applied to its
-    starting value), so warm-start and pickle behaviour match.
+    Event ``k`` reads ``table[idx[k]]`` and then, where ``trans[k]``
+    (``None``: every event), moves it toward ``dirs[k]``.  Returns the
+    predicted direction (counter >= 2) every event saw *before* its own
+    transition, as uint8 in event order, and leaves ``table`` (a list,
+    updated in place) in the exact state a scalar walk would.
     """
-    ev_branch = plan.ev_branch
-    count = int(ev_branch.shape[0])
+    count = int(idx.shape[0])
     if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = kernel.batch_index(plan.pc[ev_branch], plan.ghr[ev_branch])
-    taken = plan.taken[ev_branch]
+        return np.zeros(0, dtype=np.uint8)
 
     order, sorted_idx = _stable_group(idx)
-    taken_sorted = taken[order] != 0
-    if plan.uniform:
-        funcs = np.where(taken_sorted, _TAKEN, _NOT_TAKEN).astype(
-            np.int8
-        )
-    else:
-        funcs = np.where(
-            plan.ev_trans[order] != 0,
-            np.where(taken_sorted, _TAKEN, _NOT_TAKEN),
-            _IDENT,
-        ).astype(np.int8)
+    dirs_sorted = dirs[order] != 0
+    funcs = np.where(dirs_sorted, _TAKEN, _NOT_TAKEN).astype(np.int8)
+    if trans is not None:
+        funcs[trans[order] == 0] = _IDENT
 
     seg_start = np.empty(count, dtype=bool)
     seg_start[0] = True
@@ -155,28 +150,24 @@ def batch_replay(kernel, plan) -> np.ndarray:
             (pos_in_seg[active] >= step) & ~const[flat[active]]
         ]
 
-    # Exclusive shift within segments: the state a read observes is the
-    # prefix *before* it, applied to the entry's starting value.
+    # Exclusive shift within segments: the state an event observes is
+    # the prefix *before* it, applied to the entry's starting value.
     excl = np.empty(count, dtype=np.int8)
     excl[0] = _IDENT
     excl[1:] = np.where(seg_start[1:], _IDENT, flat[:-1])
 
-    table = np.asarray(kernel.table, dtype=np.uint8)
-    start_value = table[sorted_idx]
-    state_before = _IMG[excl, start_value]
-
-    mispredicted = (state_before >= 2) != taken_sorted
-    if not plan.uniform:
-        mispredicted &= plan.ev_read[order] != 0
+    values = np.asarray(table, dtype=np.uint8)
+    start_value = values[sorted_idx]
+    bits = np.empty(count, dtype=np.uint8)
+    bits[order] = _IMG[excl, start_value] >= 2
 
     # Final table state: the last event of each segment carries the
     # entry's full composition.
     seg_end = np.empty(count, dtype=bool)
     seg_end[-1] = True
     seg_end[:-1] = seg_start[1:]
-    table[sorted_idx[seg_end]] = _IMG[
+    values[sorted_idx[seg_end]] = _IMG[
         flat[seg_end], start_value[seg_end]
     ]
-    kernel.table = table.tolist()
-
-    return np.sort(ev_branch[order[mispredicted]])
+    table[:] = values.tolist()
+    return bits

@@ -83,7 +83,7 @@ def differential_check(
     from repro.sim import fastcore
 
     opts = replace(options, record_flags=True)
-    ref = simulate(trace, predictor_factory(), opts)
+    ref = simulate(trace, predictor_factory(), opts, core="object")
     got = fastcore.run_fast(
         trace,
         predictor_factory(),

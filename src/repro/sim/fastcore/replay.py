@@ -1,138 +1,28 @@
-"""Scalar replay loops over pre-decoded event streams.
+"""Replay of pre-decoded event streams through a kernel.
 
-Three loops, from hottest to most general:
-
-* :func:`_replay_table_uniform` — every event reads then trains one
-  counter (the common no-SFP, no-delay case).  Pure list indexing on
-  ints; no attribute lookups, no allocation beyond the mispredict list.
-* :func:`_replay_table_flags` — same tables, but events carry read /
-  transition flags (squash train-PHT events are transition-only;
-  delayed-update mode splits reads from their transitions).
-* :func:`_replay_generic` — drives any kernel through the scalar ABI
-  (``predict``/``train``); the fallback for kernels without a
-  vectorised index (the local kernel gets a specialised variant).
-
-Every loop returns the *event positions* that mispredicted; the caller
-maps positions to branch indices through the plan's ``ev_branch`` array
-and builds all statistics vectorised.
+Every kernel replays the plan's event stream through its own
+``replay(events, batch)``, which reports the direction each event
+observed (table kernels walk their counters with a scalar loop or, with
+``batch``, the numpy scan).  Mispredictions are the reading events whose
+bit disagrees with the outcome; event positions map to branch indices
+through the plan's ``ev_branch`` array, and all statistics are built
+vectorised by the caller.
 """
 
 import numpy as np
 
 from repro.sim.fastcore.decode import ReplayPlan
-from repro.sim.fastcore.kernels import LocalKernel
 
 
-def _replay_table_uniform(table, idxs, takens):
-    mis = []
-    add = mis.append
-    k = 0
-    for i, t in zip(idxs, takens):
-        value = table[i]
-        if t:
-            if value < 2:
-                add(k)
-            if value < 3:
-                table[i] = value + 1
-        else:
-            if value >= 2:
-                add(k)
-            if value:
-                table[i] = value - 1
-        k += 1
-    return mis
+def replay_plan(kernel, plan: ReplayPlan, batch: bool) -> np.ndarray:
+    """Mispredicted branch indices (ascending) of ``plan`` replayed
+    through ``kernel``; ``batch`` selects the numpy backend.
 
-
-def _replay_table_flags(table, idxs, takens, reads, transs):
-    mis = []
-    add = mis.append
-    k = 0
-    for i, t in zip(idxs, takens):
-        value = table[i]
-        if reads[k] and (value >= 2) != t:
-            add(k)
-        if transs[k]:
-            if t:
-                if value < 3:
-                    table[i] = value + 1
-            elif value:
-                table[i] = value - 1
-        k += 1
-    return mis
-
-
-def _replay_local(kernel, pcs, takens, reads, transs):
-    table = kernel.table
-    histories = kernel.histories
-    tmask = kernel.mask
-    lmask = kernel.local_mask
-    hmask = kernel.history_mask
-    mis = []
-    add = mis.append
-    k = 0
-    for pc, t in zip(pcs, takens):
-        slot = pc & lmask
-        local = histories[slot] & hmask
-        idx = local & tmask
-        if reads[k] and (table[idx] >= 2) != t:
-            add(k)
-        if transs[k]:
-            value = table[idx]
-            if t:
-                if value < 3:
-                    table[idx] = value + 1
-            elif value:
-                table[idx] = value - 1
-            histories[slot] = (local << 1) | t
-        k += 1
-    return mis
-
-
-def _replay_generic(kernel, pcs, ghrs, takens, reads, transs):
-    predict = kernel.predict
-    train = kernel.train
-    mis = []
-    add = mis.append
-    k = 0
-    for pc, t in zip(pcs, takens):
-        if reads[k] and predict(pc, ghrs[k])[0] != t:
-            add(k)
-        if transs[k]:
-            train(pc, ghrs[k], t)
-        k += 1
-    return mis
-
-
-def fast_replay(kernel, plan: ReplayPlan) -> np.ndarray:
-    """Replay the plan through ``kernel``; mispredicted branch indices.
-
-    Mutates the kernel's tables (so state round-trips match the object
-    predictor's trained state event for event).
+    Mutates the kernel's state, so it ends exactly where the object
+    predictor's trained state would.
     """
-    ev_branch = plan.ev_branch
-    takens = plan.taken[ev_branch].tolist()
-    if getattr(kernel, "batchable", False):
-        idxs = kernel.batch_index(
-            plan.pc[ev_branch], plan.ghr[ev_branch]
-        ).tolist()
-        if plan.uniform:
-            mis = _replay_table_uniform(kernel.table, idxs, takens)
-        else:
-            mis = _replay_table_flags(
-                kernel.table, idxs, takens,
-                plan.ev_read.tolist(), plan.ev_trans.tolist(),
-            )
-    else:
-        pcs = plan.pc[ev_branch].tolist()
-        reads = plan.ev_read.tolist()
-        transs = plan.ev_trans.tolist()
-        if isinstance(kernel, LocalKernel):
-            mis = _replay_local(kernel, pcs, takens, reads, transs)
-        else:
-            ghrs = plan.ghr[ev_branch].tolist()
-            mis = _replay_generic(
-                kernel, pcs, ghrs, takens, reads, transs
-            )
-    if not mis:
-        return np.zeros(0, dtype=np.int64)
-    return ev_branch[np.asarray(mis, dtype=np.int64)]
+    events = plan.events()
+    wrong = kernel.replay(events, batch) != events.taken
+    if events.read is not None:
+        wrong &= events.read != 0
+    return plan.branch_of(np.flatnonzero(wrong))

@@ -459,7 +459,7 @@ def sweep(
 
     ``core`` selects the simulation core for every point (argument >
     ambient :func:`repro.sim.core.use_core` > ``$REPRO_SIM_CORE`` >
-    ``"object"``); it is resolved once in the parent, so pool workers
+    ``"numpy"``); it is resolved once in the parent, so pool workers
     honour the caller's context.  Fast cores are bit-identical to the
     object core and fall back to it per point where unsupported, so
     results never depend on the knob.

@@ -25,6 +25,7 @@ import pytest
 from repro.cli import main
 from repro.runstore import RunStore
 from repro.serve import ServeClient, ServeConfig, ServerThread
+from repro.sim.core import DEFAULT_CORE
 
 TINY = {"workload": "crc", "scale": "tiny"}
 
@@ -139,7 +140,7 @@ class TestSerialDaemonIdentity:
             _, body = client.simulate(**TINY)
         cli_store = tmp_path / "cli-runs"
         assert main([
-            "simulate", "crc", "--scale", "tiny",
+            "simulate", "crc", "--scale", "tiny", "--core", "object",
             "--record", "--store", str(cli_store),
         ]) == 0
         (cli_record,) = RunStore(cli_store).records()
@@ -345,7 +346,8 @@ class TestOperational:
             status, body = client.healthz()
             assert status == 200
             assert body["status"] == "ok"
-            assert body["core"] == "object"
+            # No --core and no $REPRO_SIM_CORE: the resolved default.
+            assert body["core"] == DEFAULT_CORE
             assert body["workers"] == 0
             assert body["queue_depth"] == 0
             assert str(tmp_path / "runs") in body["store"]
@@ -428,7 +430,7 @@ class TestCoreThreading:
         # produces the same payload, hence the same run id.
         cli_store = tmp_path / "cli-runs"
         assert main([
-            "simulate", "crc", "--scale", "tiny",
+            "simulate", "crc", "--scale", "tiny", "--core", "object",
             "--record", "--store", str(cli_store),
         ]) == 0
         (cli_record,) = RunStore(cli_store).records()

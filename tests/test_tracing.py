@@ -294,7 +294,9 @@ class TestSweepTracing:
         registry = MetricsRegistry()
         with use_registry(registry), use_tracing(True), \
                 use_collector(collector), use_context(root):
-            results = sweep(traces, factories, grid, workers=workers)
+            results = sweep(
+                traces, factories, grid, workers=workers, core="object"
+            )
         return results, collector, registry
 
     def test_worker_count_does_not_change_span_identity(self):
